@@ -102,7 +102,7 @@ func executeLease(t *testing.T, ls *LeaseResponse) []sweep.CellResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sweep.RunSubset(context.Background(), specs[ls.Leg], ls.Cells)
+	results, err := sweep.RunSubset(context.Background(), specs[0], ls.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +249,127 @@ func TestClusterThreeWorkersShuffledReportOrderByteIdentity(t *testing.T) {
 	checkCoverage(t, got, req)
 	if g, w := stripTiming(got), stripTiming(localDocument(t, req)); g != w {
 		t.Fatalf("shuffled-order cluster document diverges beyond timing:\n--- cluster\n%s\n--- local\n%s", g, w)
+	}
+}
+
+// TestClusterBothRuntimesShuffledByteIdentity: a runtime "both" grid —
+// machine cells then hogwild cells, one spec — leased in batches of 3
+// so the second lease straddles the machine/hogwild boundary, spread
+// over three workers and reported in reversed order. The hogwild cells
+// run one worker goroutine each, so they are bit-reproducible and the
+// document must equal the local run modulo timing.
+func TestClusterBothRuntimesShuffledByteIdentity(t *testing.T) {
+	req := testRequest()
+	req.Workers = []int{1}
+	req.Runtime = "both"
+	c := NewCoordinator(Config{BatchSize: 3, LeaseTTL: time.Minute})
+	defer c.Close()
+	srv := serve.New(serve.Config{Dispatcher: c, Journal: c})
+	defer srv.Close()
+
+	job, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := req.CellCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells != 8 {
+		t.Fatalf("grid has %d cells, want 8 (4 machine + 4 hogwild)", cells)
+	}
+
+	workers := make([]RegisterResponse, 3)
+	for i := range workers {
+		workers[i] = c.register(RegisterRequest{Name: fmt.Sprintf("both-%d", i)})
+	}
+	type granted struct {
+		ls      *LeaseResponse
+		results []sweep.CellResult
+	}
+	var grants []granted
+	straddled := false
+	for got := 0; got < cells; {
+		ls := leaseWithRetry(t, c, workers[len(grants)%3].WorkerID)
+		results := executeLease(t, ls)
+		runtimes := map[string]bool{}
+		for i, r := range results {
+			if r.Index != ls.Cells[i] {
+				t.Fatalf("lease %s cell %d came back as index %d", ls.LeaseID, ls.Cells[i], r.Index)
+			}
+			runtimes[r.Runtime] = true
+		}
+		straddled = straddled || len(runtimes) == 2
+		grants = append(grants, granted{ls: ls, results: results})
+		got += len(ls.Cells)
+	}
+	if !straddled {
+		t.Fatal("no lease straddled the machine/hogwild boundary")
+	}
+	for i := len(grants) - 1; i >= 0; i-- { // reversed lease order
+		reportAll(t, c, grants[i].ls.LeaseID, grants[i].results)
+	}
+
+	got := waitResult(t, job)
+	checkCoverage(t, got, req)
+	if g, w := stripTiming(got), stripTiming(localDocument(t, req)); g != w {
+		t.Fatalf("both-runtime cluster document diverges beyond timing:\n--- cluster\n%s\n--- local\n%s", g, w)
+	}
+}
+
+// TestClusterHTTPWorkerReregistersOnGoneLease: an HTTP worker whose
+// identity the coordinator forgot (presumed dead, or a coordinator
+// restart) gets 410 on its next lease, re-registers under a fresh id, and
+// goes on to run the next job.
+func TestClusterHTTPWorkerReregistersOnGoneLease(t *testing.T) {
+	req := testRequest()
+	c := NewCoordinator(Config{BatchSize: 2, LeaseTTL: time.Minute, Poll: 2 * time.Millisecond})
+	defer c.Close()
+	srv := serve.New(serve.Config{Dispatcher: c, Journal: c})
+	defer srv.Close()
+	ts := httptest.NewServer(c.Mount(srv.Handler()))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{Coordinator: ts.URL, Name: "http-rejoin", Poll: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = w.Run(ctx) }()
+
+	// workerIDs polls until the comma-joined registered worker ids are
+	// non-empty and differ from prev, then returns them.
+	workerIDs := func(prev string) string {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			var ids []string
+			for _, sw := range c.Status().Workers {
+				ids = append(ids, sw.ID)
+			}
+			if got := strings.Join(ids, ","); got != "" && got != prev {
+				return got
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		t.Fatalf("registered workers never moved off %q", prev)
+		return ""
+	}
+	first := workerIDs("")
+	c.mu.Lock()
+	delete(c.workers, first) // the coordinator forgets the worker
+	c.mu.Unlock()
+	workerIDs(first) // the 410 made the worker re-register under a fresh id
+
+	job, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitResult(t, job)
+	checkCoverage(t, got, req)
+	if c.RemoteCells() == 0 {
+		t.Fatal("no cells traveled through the re-registered worker")
 	}
 }
 

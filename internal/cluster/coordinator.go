@@ -58,27 +58,13 @@ var (
 	ErrLeaseRevoked = errors.New("cluster: lease revoked")
 )
 
-// legInfo is one runtime leg of an active job's grid: its spec name and
-// the document-global index range [offset, offset+count).
-type legInfo struct {
-	name   string
-	offset int
-	count  int
-}
-
-// batch is a pending unit of lease dispatch: document-global cell
-// indices within a single leg.
-type batch struct {
-	leg   int
-	cells []int
-}
-
 // activeJob is one sweep currently dispatching on the cluster.
 type activeJob struct {
-	id        string
-	req       serve.SweepRequest
-	legs      []legInfo
-	pending   []batch
+	id  string
+	req serve.SweepRequest
+	// pending holds the batches awaiting lease dispatch, each a list of
+	// document cell indices.
+	pending   [][]int
 	results   map[int]sweep.CellResult
 	total     int
 	completed int
@@ -91,8 +77,7 @@ type lease struct {
 	id     string
 	worker string
 	job    *activeJob
-	leg    int
-	// remaining holds the document-global indices the lease has not yet
+	// remaining holds the document indices the lease has not yet
 	// reported.
 	remaining map[int]bool
 	deadline  time.Time
@@ -249,7 +234,7 @@ func (c *Coordinator) AttachMetrics(reg *metrics.Registry) {
 			n := 0
 			for _, j := range c.jobs {
 				for _, b := range j.pending {
-					n += len(b.cells)
+					n += len(b)
 				}
 			}
 			return float64(n)
@@ -341,10 +326,10 @@ func (c *Coordinator) Recover(s *serve.Server) ([]*serve.Job, error) {
 // DispatchSweep expands the request's grid, seeds it with any recovered
 // cell results, queues the remaining cells as lease batches, and blocks
 // until every cell has a result (workers lease, execute, report) or ctx
-// is canceled. The document is reassembled by document-global cell index
-// through the same serve.AssembleReport the in-process executor uses, so
-// for a deterministic grid the distributed bytes equal the local bytes
-// modulo the documented timing fields — no matter which worker ran which
+// is canceled. The document is reassembled by cell index through the
+// same serve.AssembleReport the in-process executor uses, so for a
+// deterministic grid the distributed bytes equal the local bytes modulo
+// the documented timing fields — no matter which worker ran which
 // cell, how many times, or in what order.
 func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve.SweepRequest,
 	onCell func(sweep.CellResult), _ func(sweep.TelemetrySample)) (*serve.Report, error) {
@@ -356,24 +341,16 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 	if err != nil {
 		return nil, err
 	}
-	var (
-		legs  []legInfo
-		total int
-	)
-	for _, spec := range specs {
-		cells, err := spec.Cells()
-		if err != nil {
-			return nil, err
-		}
-		legs = append(legs, legInfo{name: spec.Name, offset: total, count: len(cells)})
-		total += len(cells)
+	cells, err := specs[0].Cells()
+	if err != nil {
+		return nil, err
 	}
+	total := len(cells)
 
 	start := time.Now()
 	job := &activeJob{
 		id:      jobID,
 		req:     norm,
-		legs:    legs,
 		results: make(map[int]sweep.CellResult, total),
 		total:   total,
 		onCell:  onCell,
@@ -389,25 +366,20 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 			job.completed++
 		}
 	}
-	// Queue the incomplete cells as per-leg batches in index order.
-	for li, leg := range legs {
-		var cells []int
-		flush := func() {
-			if len(cells) > 0 {
-				job.pending = append(job.pending, batch{leg: li, cells: cells})
-				cells = nil
-			}
+	// Queue the incomplete cells as batches in index order.
+	var b []int
+	for i := 0; i < total; i++ {
+		if _, done := job.results[i]; done {
+			continue
 		}
-		for g := leg.offset; g < leg.offset+leg.count; g++ {
-			if _, done := job.results[g]; done {
-				continue
-			}
-			cells = append(cells, g)
-			if len(cells) == c.cfg.BatchSize {
-				flush()
-			}
+		b = append(b, i)
+		if len(b) == c.cfg.BatchSize {
+			job.pending = append(job.pending, b)
+			b = nil
 		}
-		flush()
+	}
+	if len(b) > 0 {
+		job.pending = append(job.pending, b)
 	}
 	allDone := job.completed == job.total
 	if allDone {
@@ -459,16 +431,12 @@ func (c *Coordinator) DispatchSweep(ctx context.Context, jobID string, req serve
 	}
 
 	ordered := make([]sweep.CellResult, total)
-	names := make([]string, len(legs))
-	for i, leg := range legs {
-		names[i] = leg.name
-	}
 	c.mu.Lock()
 	for i := 0; i < total; i++ {
 		ordered[i] = job.results[i]
 	}
 	c.mu.Unlock()
-	return serve.AssembleReport(norm, names, ordered, time.Since(start)), nil
+	return serve.AssembleReport(norm, []string{specs[0].Name}, ordered, time.Since(start)), nil
 }
 
 // --- worker protocol core (shared by the HTTP handlers and in-process
@@ -516,28 +484,24 @@ func (c *Coordinator) grantLease(workerID string) (*LeaseResponse, error) {
 			id:        id,
 			worker:    workerID,
 			job:       job,
-			leg:       b.leg,
-			remaining: make(map[int]bool, len(b.cells)),
+			remaining: make(map[int]bool, len(b)),
 			deadline:  now.Add(c.cfg.LeaseTTL),
 		}
-		locals := make([]int, len(b.cells))
-		for i, g := range b.cells {
-			ls.remaining[g] = true
-			locals[i] = g - job.legs[b.leg].offset
+		for _, i := range b {
+			ls.remaining[i] = true
 		}
 		c.leases[id] = ls
 		log := c.cfg.Log
 		c.mu.Unlock()
 		inc(c.mLeasesGranted, &c.leasesGranted, 1)
 		if log != nil {
-			_ = log.Append(Record{Type: recLease, Job: job.id, Lease: id, Worker: workerID, Cells: b.cells})
+			_ = log.Append(Record{Type: recLease, Job: job.id, Lease: id, Worker: workerID, Cells: b})
 		}
 		return &LeaseResponse{
 			LeaseID:    id,
 			JobID:      job.id,
 			Request:    job.req,
-			Leg:        b.leg,
-			Cells:      locals,
+			Cells:      b,
 			DeadlineMS: c.cfg.LeaseTTL.Milliseconds(),
 		}, nil
 	}
@@ -562,9 +526,8 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) error {
 	return nil
 }
 
-// applyResult records one reported cell. res.Index is leg-local (as the
-// worker's subset run produced it); the coordinator maps it to the
-// document-global index through the lease's leg. Duplicates — the cell
+// applyResult records one reported cell, keyed by its document index
+// res.Index (sweep.RunSubset keeps grid indices). Duplicates — the cell
 // was completed under another lease after a requeue — are dropped, which
 // is safe precisely because re-execution is byte-stable: both copies
 // carry identical deterministic fields, so first-wins changes nothing
@@ -581,25 +544,23 @@ func (c *Coordinator) applyResult(leaseID string, res sweep.CellResult) (bool, e
 		w.lastSeen = time.Now()
 	}
 	job := ls.job
-	global := job.legs[ls.leg].offset + res.Index
-	if !ls.remaining[global] {
+	if !ls.remaining[res.Index] {
 		// Not part of this lease (already reported under it, or a
 		// protocol error): drop.
 		c.mu.Unlock()
 		inc(c.mDuplicates, &c.duplicateCells, 1)
 		return false, nil
 	}
-	delete(ls.remaining, global)
+	delete(ls.remaining, res.Index)
 	if len(ls.remaining) == 0 {
 		delete(c.leases, leaseID)
 	}
-	if _, dup := job.results[global]; dup {
+	if _, dup := job.results[res.Index]; dup {
 		c.mu.Unlock()
 		inc(c.mDuplicates, &c.duplicateCells, 1)
 		return false, nil
 	}
-	res.Index = global
-	job.results[global] = res
+	job.results[res.Index] = res
 	job.completed++
 	last := job.completed == job.total
 	onCell := job.onCell
@@ -669,7 +630,7 @@ func (c *Coordinator) expireLeases(now time.Time) {
 			continue
 		}
 		sort.Ints(cells)
-		ls.job.pending = append(ls.job.pending, batch{leg: ls.leg, cells: cells})
+		ls.job.pending = append(ls.job.pending, cells)
 		requeued += int64(len(cells))
 	}
 	c.mu.Unlock()
@@ -714,7 +675,7 @@ func (c *Coordinator) Status() Status {
 	for id, job := range c.jobs {
 		n := 0
 		for _, b := range job.pending {
-			n += len(b.cells)
+			n += len(b)
 		}
 		st.Jobs[id] = n
 	}

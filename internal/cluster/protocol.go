@@ -14,8 +14,7 @@
 // safe and byte-stable, which is what makes the failure handling simple:
 // a lease that misses its deadline (worker crash, network partition, or
 // just slowness) is revoked and its incomplete cells requeue; duplicate
-// results from a zombie worker are deduplicated by document-global cell
-// index; and the reassembled document is byte-identical to a
+// results from a zombie worker are deduplicated by document cell index; and the reassembled document is byte-identical to a
 // single-process run modulo the two documented timing fields.
 //
 // Endpoints (mounted by Coordinator.Mount around the serve API):
@@ -58,21 +57,20 @@ type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// LeaseResponse grants a batch of cells from one runtime leg of one
-// job's grid. The worker expands the normalized request with
-// SweepRequest.Specs(), picks spec[Leg], and runs exactly Cells through
-// sweep.RunSubset — the same expansion every other worker and the CLI
-// perform, so the grid is never shipped cell-by-cell, only named.
+// LeaseResponse grants a batch of cells from one job's grid. The worker
+// expands the normalized request with SweepRequest.Specs() into its one
+// spec and runs exactly Cells through sweep.RunSubset — the same
+// expansion every other worker and the CLI perform, so the grid is never
+// shipped cell-by-cell, only named. Coordinator and workers must
+// therefore come from one build: a worker that expands the request
+// differently would run the wrong cells.
 type LeaseResponse struct {
 	LeaseID string `json:"lease_id"`
 	JobID   string `json:"job_id"`
 	// Request is the job's normalized sweep request.
 	Request serve.SweepRequest `json:"request"`
-	// Leg selects the runtime leg (index into Request.Specs()).
-	Leg int `json:"leg"`
-	// Cells are the leg-local grid indices to execute (sweep.RunSubset
-	// input). The coordinator maps them back to document-global indices
-	// when results arrive.
+	// Cells are the document cell indices to execute (sweep.RunSubset
+	// input); results come back carrying the same indices.
 	Cells []int `json:"cells"`
 	// DeadlineMS is the lease TTL in milliseconds from grant time.
 	DeadlineMS int64 `json:"deadline_ms"`

@@ -34,7 +34,7 @@ type WorkerConfig struct {
 
 // Worker is one execution node: it registers with the coordinator,
 // leases cell batches, runs them through the same sweep pipeline the CLI
-// uses (sweep.RunSubset over the leased leg's spec), and streams results
+// uses (sweep.RunSubset over the request's spec), and streams results
 // back as they complete. On a 410 — its identity or lease died, usually
 // because the coordinator restarted or a missed heartbeat revoked the
 // lease — it abandons the batch and re-registers under a fresh identity:
@@ -155,21 +155,21 @@ func (w *Worker) sleep(ctx context.Context) {
 	}
 }
 
-// execute runs one leased batch: expand the request's specs exactly as
-// every other node does, run the leased leg-local cell indices through
+// execute runs one leased batch: expand the request's spec exactly as
+// every other node does, run the leased cell indices through
 // sweep.RunSubset, and stream each result to the coordinator as it
 // completes. A heartbeat goroutine extends the lease while the batch
 // runs; if the heartbeat learns the lease is dead, execution is canceled
 // and the batch abandoned (the coordinator already requeued it).
 func (w *Worker) execute(ctx context.Context, ls *LeaseResponse) {
 	specs, err := ls.Request.Specs()
-	if err != nil || ls.Leg < 0 || ls.Leg >= len(specs) {
+	if err != nil {
 		// Unexecutable lease (requests are validated at submission, so
 		// this is a protocol-version mismatch at worst): abandon; the
 		// lease expires and the cells requeue for a worker that can.
 		return
 	}
-	spec := specs[ls.Leg]
+	spec := specs[0]
 	spec.MaxConcurrent = w.cfg.MaxConcurrent
 	spec.OnTelemetry = nil
 
@@ -317,39 +317,11 @@ func (a *httpAPI) register(ctx context.Context, req RegisterRequest) (RegisterRe
 	return resp, err
 }
 
+// lease decodes into a *LeaseResponse that stays nil on 204 (no work).
 func (a *httpAPI) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.base+"/cluster/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var ls LeaseResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ls); err != nil {
-			return nil, err
-		}
-		return &ls, nil
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusGone:
-		return nil, ErrUnknownWorker
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("cluster: lease: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
+	var ls *LeaseResponse
+	err := a.postJSON(ctx, "/cluster/v1/lease", req, &ls)
+	return ls, err
 }
 
 // report streams the results channel to POST /cluster/v1/report/{lease}

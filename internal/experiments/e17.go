@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/grad"
@@ -16,19 +17,18 @@ import (
 
 // PhaseOpts parameterizes the staleness-phase-diagram grid that E17 (and
 // the `asgdbench sweep` subcommand) explore: a bounded-staleness τ ×
-// workers × sparsity grid with seed replicates, on one of the two
-// runtimes.
+// workers × sparsity grid with seed replicates, on one or both runtimes.
 type PhaseOpts struct {
-	Runtime    sweep.Runtime
-	Taus       []int     // bounded-staleness gate values (the strategy axis)
-	Workers    []int     // goroutines (Hogwild) or simulated threads (Machine)
-	Keeps      []float64 // row densities of the sparse least-squares oracle
-	Dim        int       // model dimension
-	Replicates int       // seed replicates per grid point
-	Iters      int       // per-cell iteration budget
-	Seed       uint64    // spec seed (per-cell seeds are split from it)
-	Adversary  int       // Machine only: MaxStale budget (0 ⇒ round-robin)
-	Pin        bool      // Hogwild only: pin worker goroutines to OS threads
+	Runtimes   []sweep.Runtime // the runtime axis, outermost in cell order
+	Taus       []int           // bounded-staleness gate values (the strategy axis)
+	Workers    []int           // goroutines (Hogwild) or simulated threads (Machine)
+	Keeps      []float64       // row densities of the sparse least-squares oracle
+	Dim        int             // model dimension
+	Replicates int             // seed replicates per grid point
+	Iters      int             // per-cell iteration budget
+	Seed       uint64          // spec seed (per-cell seeds are split from it)
+	Adversary  int             // Machine cells only: MaxStale budget (0 ⇒ round-robin)
+	Pin        bool            // Hogwild cells only: pin worker goroutines to OS threads
 
 	// The robustness axes (nil ⇒ neutral): fault-axis labels for
 	// sweep.ParseFaults ("crash/1/rejoin", …), corruption-axis labels for
@@ -70,9 +70,14 @@ func phaseOracle(keep float64) sweep.Oracle {
 // (SparsifyRows rescales surviving entries by 1/keep, so the smallest
 // keep dominates the curvature L): α = 0.3/L_max, stable across the whole
 // grid at a safety margin over per-replicate L variation.
+//
+// Several runtimes make one spec whose name joins the per-runtime names
+// with "+". Cell seeds fold axis values, never the spec name or grid
+// position, so its cells, indices and seeds are exactly those of the
+// single-runtime specs concatenated in Runtimes order.
 func PhaseDiagramSpec(o PhaseOpts) (sweep.Spec, error) {
-	if len(o.Taus) == 0 || len(o.Workers) == 0 || len(o.Keeps) == 0 {
-		return sweep.Spec{}, fmt.Errorf("%w: PhaseDiagramSpec needs Taus, Workers and Keeps",
+	if len(o.Runtimes) == 0 || len(o.Taus) == 0 || len(o.Workers) == 0 || len(o.Keeps) == 0 {
+		return sweep.Spec{}, fmt.Errorf("%w: PhaseDiagramSpec needs Runtimes, Taus, Workers and Keeps",
 			sweep.ErrBadSpec)
 	}
 	oracles := make([]sweep.Oracle, 0, len(o.Keeps))
@@ -92,10 +97,16 @@ func PhaseDiagramSpec(o PhaseOpts) (sweep.Spec, error) {
 	for _, tau := range o.Taus {
 		strategies = append(strategies, sweep.BoundedStaleness(tau))
 	}
+	names := make([]string, len(o.Runtimes))
+	machine := false
+	for i, rt := range o.Runtimes {
+		names[i] = "staleness-phase-diagram/" + rt.String()
+		machine = machine || rt == sweep.Machine
+	}
 	spec := sweep.Spec{
-		Name:       "staleness-phase-diagram/" + o.Runtime.String(),
+		Name:       strings.Join(names, "+"),
 		Seed:       o.Seed,
-		Runtimes:   []sweep.Runtime{o.Runtime},
+		Runtimes:   o.Runtimes,
 		Oracles:    oracles,
 		Strategies: strategies,
 		Workers:    o.Workers,
@@ -105,7 +116,8 @@ func PhaseDiagramSpec(o PhaseOpts) (sweep.Spec, error) {
 		Iters:      o.Iters,
 		PinWorkers: o.Pin,
 	}
-	if o.Runtime == sweep.Machine && o.Adversary > 0 {
+	// Only machine cells read the policy.
+	if machine && o.Adversary > 0 {
 		budget := o.Adversary
 		spec.Policy = func(int, *rng.Rand) shm.Policy {
 			return &sched.MaxStale{Budget: budget}
@@ -147,7 +159,7 @@ func PhaseDiagramSpec(o PhaseOpts) (sweep.Spec, error) {
 // paper's convergence-vs-delay story.
 func E17PhaseDiagram(s Scale) ([]*report.Table, error) {
 	mo := PhaseOpts{
-		Runtime:    sweep.Machine,
+		Runtimes:   []sweep.Runtime{sweep.Machine},
 		Taus:       []int{1, 2, 4, 8},
 		Workers:    []int{2, 3},
 		Keeps:      []float64{0.2, 0.6},
@@ -180,7 +192,7 @@ func E17PhaseDiagram(s Scale) ([]*report.Table, error) {
 		report.In(mo.Adversary) + ", " + report.In(mo.Replicates) + " replicates/point"
 
 	ho := mo
-	ho.Runtime = sweep.Hogwild
+	ho.Runtimes = []sweep.Runtime{sweep.Hogwild}
 	ho.Workers = []int{2, 4}
 	ho.Iters = s.pick(3000, 30000)
 	ho.Adversary = 0

@@ -29,7 +29,7 @@ func TestE17PhaseDiagramBoundsHold(t *testing.T) {
 // and rejects empty axes.
 func TestPhaseDiagramSpecShape(t *testing.T) {
 	spec, err := PhaseDiagramSpec(PhaseOpts{
-		Runtime:    sweep.Machine,
+		Runtimes:   []sweep.Runtime{sweep.Machine},
 		Taus:       []int{1, 2},
 		Workers:    []int{2, 3},
 		Keeps:      []float64{0.2, 0.5},
@@ -51,7 +51,7 @@ func TestPhaseDiagramSpecShape(t *testing.T) {
 	if len(spec.Alphas) != 1 || spec.Alphas[0] <= 0 {
 		t.Fatalf("derived alpha axis %v", spec.Alphas)
 	}
-	if _, err := PhaseDiagramSpec(PhaseOpts{Runtime: sweep.Machine}); err == nil {
+	if _, err := PhaseDiagramSpec(PhaseOpts{Runtimes: []sweep.Runtime{sweep.Machine}}); err == nil {
 		t.Error("empty axes accepted")
 	}
 }

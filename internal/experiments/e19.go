@@ -32,7 +32,7 @@ import (
 //     reported as a degenerate gap) and both defenses defuse it.
 func E19FaultRecovery(s Scale) ([]*report.Table, error) {
 	mo := PhaseOpts{
-		Runtime:    sweep.Machine,
+		Runtimes:   []sweep.Runtime{sweep.Machine},
 		Taus:       []int{4},
 		Workers:    []int{3},
 		Keeps:      []float64{0.6},
@@ -56,7 +56,7 @@ func E19FaultRecovery(s Scale) ([]*report.Table, error) {
 		" iterations; ticket crashes die holding a gate claim and survivors tombstone it (recovered)"
 
 	ho := mo
-	ho.Runtime = sweep.Hogwild
+	ho.Runtimes = []sweep.Runtime{sweep.Hogwild}
 	ho.Workers = []int{4}
 	ho.Iters = s.pick(2000, 20000)
 	ho.Seed = 1902
@@ -74,7 +74,7 @@ func E19FaultRecovery(s Scale) ([]*report.Table, error) {
 		"and replacement workers rejoin; the gated gauge must hold ≤ τ throughout"
 
 	bo := PhaseOpts{
-		Runtime:    sweep.Hogwild,
+		Runtimes:   []sweep.Runtime{sweep.Hogwild},
 		Taus:       []int{4},
 		Workers:    []int{4},
 		Keeps:      []float64{0.6},

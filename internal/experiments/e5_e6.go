@@ -113,7 +113,10 @@ func E5UpperBound(s Scale) ([]*report.Table, error) {
 	return []*report.Table{bounds, scaling}, nil
 }
 
-// epochFailureProbCount is epochFailureProb returning the raw fail count.
+// epochFailureProbCount counts the trials whose accumulator sequence
+// x_0..x_T never enters S = {‖x−x*‖² ≤ eps} (the event F_T) and returns
+// the mean hitting time of the rest. mk builds the per-trial epoch config;
+// the seed is overridden per trial.
 func epochFailureProbCount(mk func() core.EpochConfig, xstar []float64, eps float64,
 	trials int, seed uint64) (fails int, meanHit float64, err error) {
 	var hits mathx.Welford

@@ -10,11 +10,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
-	"asyncsgd/internal/core"
 	"asyncsgd/internal/grad"
-	"asyncsgd/internal/mathx"
 	"asyncsgd/internal/report"
 	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sweep"
@@ -150,47 +147,4 @@ func stdQuadratic(d int, sigma, r0, dist0 float64) (*grad.Quadratic, vec.Dense, 
 	}
 	x0 := vec.Constant(d, dist0/math.Sqrt(float64(d)))
 	return q, x0, nil
-}
-
-// epochFailureProb estimates P(F_T) for the lock-free algorithm: the
-// fraction of trials whose accumulator sequence x_0..x_T never enters
-// S = {‖x−x*‖² ≤ eps}. mk builds the per-trial epoch config (the seed is
-// overridden per trial).
-func epochFailureProb(mk func() core.EpochConfig, xstar vec.Dense, eps float64,
-	trials int, seed uint64) (failFrac float64, meanHit float64, err error) {
-	fails := 0
-	var hits []float64
-	for k := 0; k < trials; k++ {
-		cfg := mk()
-		cfg.Seed = seed + uint64(k)*0x9E3779B97F4A7C15
-		cfg.Record = true
-		res, rerr := core.RunEpoch(cfg)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		ht := res.HitTime(xstar, eps)
-		if ht < 0 {
-			fails++
-		} else {
-			hits = append(hits, float64(ht))
-		}
-	}
-	if len(hits) > 0 {
-		var w mathx.Welford
-		for _, h := range hits {
-			w.Add(h)
-		}
-		meanHit = w.Mean()
-	}
-	return float64(fails) / float64(trials), meanHit, nil
-}
-
-// medianInt returns the median of xs (-1 for empty).
-func medianInt(xs []int) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	s := append([]int(nil), xs...)
-	sort.Ints(s)
-	return s[len(s)/2]
 }

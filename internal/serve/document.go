@@ -70,11 +70,10 @@ func (r *Report) FailedCells() int {
 }
 
 // RunRequest executes a sweep request end to end: normalize, expand into
-// one spec per runtime leg, run each leg on the weighted pool, and fold
-// everything into the asgdbench/v2 document. Per-cell results stream
-// through onResult (when non-nil) as cells complete, already carrying
-// their document-global indices (the "both" runtime concatenates two
-// specs). Canceling ctx stops the sweep between cells (see
+// its one spec, run the cells on the weighted pool, and fold everything
+// into the asgdbench/v2 document. Per-cell results stream through
+// onResult (when non-nil) as cells complete, carrying their document
+// indices. Canceling ctx stops the sweep between cells (see
 // sweep.RunContext) and returns ctx.Err(); no document is produced.
 //
 // Failed cells do not fail the run — they are recorded in their
@@ -88,9 +87,8 @@ func RunRequest(ctx context.Context, req SweepRequest, onResult func(sweep.CellR
 // onTelemetry is non-nil and the request opted in (TelemetryMS > 0),
 // every running hogwild cell is sampled at the requested period and the
 // snapshots are delivered — serialized with onResult, carrying the same
-// document-global cell indices — as they are taken. Telemetry never
-// changes the returned document; it is a presentation-layer side
-// channel.
+// document cell indices — as they are taken. Telemetry never changes the
+// returned document; it is a presentation-layer side channel.
 func RunRequestStream(ctx context.Context, req SweepRequest, onResult func(sweep.CellResult), onTelemetry func(sweep.TelemetrySample)) (*Report, error) {
 	req, err := req.Normalized()
 	if err != nil {
@@ -100,41 +98,21 @@ func RunRequestStream(ctx context.Context, req SweepRequest, onResult func(sweep
 	if err != nil {
 		return nil, err
 	}
+	spec := specs[0]
+	spec.OnResult = onResult
+	if onTelemetry != nil && req.TelemetryMS > 0 {
+		spec.TelemetryEvery = time.Duration(req.TelemetryMS) * time.Millisecond
+		spec.OnTelemetry = onTelemetry
+	}
 	//asgdvet:allow nondet(feeds only the seconds fields, documented as nondeterministic; the table is timing-free)
 	start := time.Now()
-	var all []sweep.CellResult
-	var names []string
-	for _, spec := range specs {
-		names = append(names, spec.Name)
-		// Re-index so the combined document has unique cell indices when
-		// the "both" runtime concatenates two specs; the streamed events
-		// carry the same global indices as the final document.
-		offset := len(all)
-		if onResult != nil {
-			spec.OnResult = func(r sweep.CellResult) {
-				r.Index += offset
-				onResult(r)
-			}
-		}
-		if onTelemetry != nil && req.TelemetryMS > 0 {
-			spec.TelemetryEvery = time.Duration(req.TelemetryMS) * time.Millisecond
-			spec.OnTelemetry = func(ts sweep.TelemetrySample) {
-				ts.Index += offset
-				onTelemetry(ts)
-			}
-		}
-		results, err := sweep.RunContext(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		for i := range results {
-			results[i].Index += offset
-		}
-		all = append(all, results...)
+	results, err := sweep.RunContext(ctx, spec)
+	if err != nil {
+		return nil, err
 	}
 	//asgdvet:allow nondet(feeds only the seconds fields, documented as nondeterministic; the table is timing-free)
 	elapsed := time.Since(start)
-	return AssembleReport(req, names, all, elapsed), nil
+	return AssembleReport(req, []string{spec.Name}, results, elapsed), nil
 }
 
 // AssembleReport folds a complete, cell-index-ordered result slice into
@@ -144,8 +122,10 @@ func RunRequestStream(ctx context.Context, req SweepRequest, onResult func(sweep
 // produces the document either way, so the distributed and local paths
 // cannot drift: for a deterministic grid the bytes differ only in the
 // documented timing fields (seconds, updates_per_sec). The request must
-// be normalized, names are the runtime-leg spec names in leg order, and
-// results must carry their document-global indices in ascending order.
+// be normalized, names are joined with "+" into the document name (the
+// executors pass their one spec's name, which already joins the runtimes
+// under "both"), and results must carry their document indices in
+// ascending order.
 func AssembleReport(req SweepRequest, names []string, results []sweep.CellResult, elapsed time.Duration) *Report {
 	// The note stays timing-free so the document's table field is
 	// byte-identical across reruns; wall-clock lives in the seconds

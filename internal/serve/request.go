@@ -68,7 +68,7 @@ type SweepRequest struct {
 	Iters int `json:"iters,omitempty"`
 	// Seed is the spec seed per-cell seeds are split from (default 1701).
 	Seed *uint64 `json:"seed,omitempty"`
-	// Adversary is the machine runtime's MaxStale budget; 0 selects the
+	// Adversary is the MaxStale budget of machine cells; 0 selects the
 	// round-robin scheduler (default 24).
 	Adversary *int `json:"adversary,omitempty"`
 	// Runtime is "machine", "hogwild" or "both" (default "machine").
@@ -198,8 +198,8 @@ func (q SweepRequest) Normalized() (SweepRequest, error) {
 			return q, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		// Coordinate-median aggregation is a round-membership barrier; it
-		// has no machine implementation, so a request whose machine leg
-		// would fail every median cell is rejected up front.
+		// has no machine implementation, so a request whose machine cells
+		// would all fail under it is rejected up front.
 		if d.Median && q.Runtime != "hogwild" {
 			return q, fmt.Errorf("%w: defense %q requires runtime \"hogwild\" (got %q)", ErrBadRequest, label, q.Runtime)
 		}
@@ -220,42 +220,41 @@ func (q SweepRequest) runtimes() []sweep.Runtime {
 	}
 }
 
-// Specs expands a normalized request into one phase-diagram sweep spec
-// per runtime leg, exactly as the `asgdbench sweep` subcommand does.
+// Specs expands a normalized request into its phase-diagram sweep spec,
+// exactly as the `asgdbench sweep` subcommand does. The slice always
+// holds exactly one spec: "both" puts the two runtimes on the spec's
+// runtime axis (machine cells first), so cell indices are document
+// indices for every request.
 func (q SweepRequest) Specs() ([]sweep.Spec, error) {
 	q, err := q.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	var specs []sweep.Spec
-	for _, rt := range q.runtimes() {
-		spec, err := experiments.PhaseDiagramSpec(experiments.PhaseOpts{
-			Runtime:    rt,
-			Taus:       q.Taus,
-			Workers:    q.Workers,
-			Keeps:      q.Sparsity,
-			Dim:        q.Dim,
-			Replicates: q.Replicates,
-			Iters:      q.Iters,
-			Seed:       *q.Seed,
-			Adversary:  *q.Adversary,
-			Pin:        q.Pin,
-			Faults:     q.Faults,
-			Byzantine:  q.Byzantine,
-			Defenses:   q.Defenses,
-		})
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
+	spec, err := experiments.PhaseDiagramSpec(experiments.PhaseOpts{
+		Runtimes:   q.runtimes(),
+		Taus:       q.Taus,
+		Workers:    q.Workers,
+		Keeps:      q.Sparsity,
+		Dim:        q.Dim,
+		Replicates: q.Replicates,
+		Iters:      q.Iters,
+		Seed:       *q.Seed,
+		Adversary:  *q.Adversary,
+		Pin:        q.Pin,
+		Faults:     q.Faults,
+		Byzantine:  q.Byzantine,
+		Defenses:   q.Defenses,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return specs, nil
+	return []sweep.Spec{spec}, nil
 }
 
 // Cacheable reports whether the request's results are deterministic and
 // may therefore be served from the result cache: machine-only sweeps are
 // (the simulator is bit-reproducible regardless of pool interleaving);
-// any hogwild leg races real goroutines, so its results must be
+// hogwild cells race real goroutines, so their results must be
 // recomputed per job.
 func (q SweepRequest) Cacheable() bool { return q.Runtime == "machine" }
 
@@ -273,6 +272,10 @@ func (q SweepRequest) expand() (norm SweepRequest, key string, cells int, err er
 	if err != nil {
 		return norm, "", 0, err
 	}
+	expanded, err := specs[0].Cells()
+	if err != nil {
+		return norm, "", 0, err
+	}
 	h := fnv.New64a()
 	word := func(v uint64) {
 		var b [8]byte
@@ -281,19 +284,12 @@ func (q SweepRequest) expand() (norm SweepRequest, key string, cells int, err er
 	}
 	word(uint64(norm.Iters))
 	word(uint64(*norm.Adversary))
-	for _, spec := range specs {
-		_, _ = h.Write([]byte(spec.Name))
-		expanded, err := spec.Cells()
-		if err != nil {
-			return norm, "", 0, err
-		}
-		word(uint64(len(expanded)))
-		for _, c := range expanded {
-			word(c.Seed)
-		}
-		cells += len(expanded)
+	_, _ = h.Write([]byte(specs[0].Name))
+	word(uint64(len(expanded)))
+	for _, c := range expanded {
+		word(c.Seed)
 	}
-	return norm, fmt.Sprintf("%016x", h.Sum64()), cells, nil
+	return norm, fmt.Sprintf("%016x", h.Sum64()), len(expanded), nil
 }
 
 // Key is the request's deterministic cache key: an FNV-1a fold of the
@@ -308,8 +304,8 @@ func (q SweepRequest) Key() (string, error) {
 	return key, err
 }
 
-// CellCount returns the total number of grid cells the request expands
-// to across its runtime legs, without running anything.
+// CellCount returns the number of grid cells the request expands to,
+// without running anything.
 func (q SweepRequest) CellCount() (int, error) {
 	_, _, cells, err := q.expand()
 	return cells, err

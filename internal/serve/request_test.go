@@ -89,6 +89,27 @@ func TestKeyNormalizationInvariant(t *testing.T) {
 	}
 }
 
+// TestKeyGolden pins Key() for the default request and one hogwild
+// request, so cache-key derivation cannot drift silently: a changed key
+// orphans every cached result and every key a client has recorded.
+func TestKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		req  SweepRequest
+		want string
+	}{
+		{SweepRequest{}, "89b0ea3845a29884"},
+		{SweepRequest{Runtime: "hogwild", Dim: 16}, "9c8ee91602ae5978"},
+	} {
+		got, err := tc.req.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("Key(%+v) = %s, want %s", tc.req, got, tc.want)
+		}
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	cases := map[string]SweepRequest{
 		"bad runtime":   {Runtime: "gpu"},
@@ -145,7 +166,7 @@ func TestRunRequestDeterministicDocument(t *testing.T) {
 }
 
 // TestRunRequestStreamsGlobalIndices: with runtime "both" the streamed
-// events carry the document-global (re-indexed) cell indices.
+// events carry the document cell indices, machine cells first.
 func TestRunRequestStreamsGlobalIndices(t *testing.T) {
 	req := tinyRequest(5)
 	req.Runtime = "both"
@@ -158,7 +179,7 @@ func TestRunRequestStreamsGlobalIndices(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Sweep.Cells != 2 {
-		t.Fatalf("cells = %d, want 2 (one per runtime leg)", rep.Sweep.Cells)
+		t.Fatalf("cells = %d, want 2 (one per runtime)", rep.Sweep.Cells)
 	}
 	for i := 0; i < rep.Sweep.Cells; i++ {
 		if !seen[i] {
@@ -169,7 +190,7 @@ func TestRunRequestStreamsGlobalIndices(t *testing.T) {
 		}
 	}
 	if !strings.Contains(rep.Sweep.Name, "+") {
-		t.Fatalf("combined sweep name %q should join both legs", rep.Sweep.Name)
+		t.Fatalf("combined sweep name %q should join both runtimes", rep.Sweep.Name)
 	}
 }
 

@@ -580,6 +580,28 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmissionRejected: a POST /v1/sweeps body past the 1 MiB
+// bound is refused with 413 before it is decoded, and queues no job.
+func TestOversizedSubmissionRejected(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	body := strings.Repeat(" ", maxSubmitBytes+1) + "{}"
+	resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("oversized body queued %d jobs", n)
+	}
+}
+
 // TestListenAndServeDrainsOnCancel drives the cmd/asgdserve code path:
 // serve on a real listener, cancel the context (the SIGTERM path), and
 // require a clean exit.
