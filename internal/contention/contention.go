@@ -109,6 +109,11 @@ type Tracker struct {
 	final    bool
 	clockS   int // latest observed time, for incomplete iterations
 
+	// The longest reads and updates lists an ended iteration had so far.
+	// Fresh records are sized to them, so after the first iterations a
+	// record's lists neither grow nor leave doubling garbage behind.
+	readsHint, updatesHint int
+
 	// Populated by Finalize:
 	ordered []*iter // complete iterations in paper order
 	taus    []int   // taus[t-1] = τ_t for ordered iteration t (1-based)
@@ -143,14 +148,20 @@ func (tr *Tracker) Reset(d int) {
 }
 
 // newIter returns a zeroed iteration record, reusing a retired one (with
-// its slice capacity) when available.
+// its slice capacity) when available. A fresh record gets its reads and
+// updates lists from one allocation, sized by the hints.
 func (tr *Tracker) newIter() *iter {
 	if n := len(tr.recPool); n > 0 {
 		it := tr.recPool[n-1]
 		tr.recPool = tr.recPool[:n-1]
 		return it
 	}
-	return &iter{}
+	r, u := tr.readsHint, tr.updatesHint
+	if r+u == 0 {
+		return &iter{}
+	}
+	buf := make([]coordTime, r+u)
+	return &iter{reads: buf[:0:r], updates: buf[r : r : r+u]}
 }
 
 // Begin records the start (counter fetch&add) of iteration localIter of
@@ -223,6 +234,8 @@ func (tr *Tracker) Update(thread, localIter, coord, time int, first bool) {
 func (tr *Tracker) End(thread, localIter, time int) {
 	if it := tr.get(thread, localIter); it != nil {
 		it.endTime = time
+		tr.readsHint = max(tr.readsHint, len(it.reads))
+		tr.updatesHint = max(tr.updatesHint, len(it.updates))
 		tr.touch(time)
 	}
 }

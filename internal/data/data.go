@@ -48,8 +48,10 @@ func (ds *Dataset) MaxRowNorm2Sq() float64 {
 }
 
 // Gram returns the empirical second-moment matrix (1/m)·Σ a_i a_iᵀ, whose
-// extreme eigenvalues give the least-squares strong convexity and
-// smoothness constants.
+// smallest eigenvalue is the least-squares strong convexity constant. It
+// skips zero coordinates (vec.Sym.AddOuterSparse), so a row with k
+// non-zeros costs k² instead of d², and every entry keeps the bits a
+// dense AddOuter accumulation gives.
 func (ds *Dataset) Gram() (*vec.Sym, error) {
 	d := ds.Dim()
 	if d == 0 {
@@ -57,8 +59,13 @@ func (ds *Dataset) Gram() (*vec.Sym, error) {
 	}
 	g := vec.NewSym(d)
 	w := 1 / float64(ds.Len())
+	var nz vec.Sparse
 	for _, r := range ds.Rows {
-		if err := g.AddOuter(w, r); err != nil {
+		nz.Reset(len(r))
+		for j, v := range r {
+			nz.Append(j, v) // drops zeros
+		}
+		if err := g.AddOuterSparse(w, nz); err != nil {
 			return nil, err
 		}
 	}

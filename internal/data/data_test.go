@@ -168,3 +168,48 @@ func TestMaxRowNorm2SqAndGramErrors(t *testing.T) {
 		t.Errorf("MaxRowNorm2Sq = %v", ds2.MaxRowNorm2Sq())
 	}
 }
+
+// TestGramMatchesDenseAddOuter pins that Gram, which skips zero
+// coordinates, builds the matrix a dense AddOuter accumulation builds,
+// bit for bit: on sparsified data (most products have a zero factor)
+// and on rows whose negative entries meet zeros, whose products are −0.
+func TestGramMatchesDenseAddOuter(t *testing.T) {
+	thinned, err := GenLinear(LinearConfig{Samples: 60, Dim: 10, NoiseStd: 0.1}, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SparsifyRows(thinned, 0.3, rng.New(12)); err != nil {
+		t.Fatal(err)
+	}
+	signed := &Dataset{
+		Rows: []vec.Dense{
+			{-1, 0, 2},
+			{0, -3, 0},
+			{math.Copysign(0, -1), 0.5, -4},
+			{0, 0, 0},
+		},
+		Labels: make([]float64, 4),
+	}
+	for name, ds := range map[string]*Dataset{"sparsified": thinned, "signed zeros": signed} {
+		got, err := ds.Gram()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := vec.NewSym(ds.Dim())
+		w := 1 / float64(ds.Len())
+		for _, r := range ds.Rows {
+			if err := want.AddOuter(w, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Errorf("%s: entry %d = %v, AddOuter gives %v", name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	ragged := &Dataset{Rows: []vec.Dense{{1, 2}, {1}}, Labels: []float64{0, 0}}
+	if _, err := ragged.Gram(); !errors.Is(err, vec.ErrDimMismatch) {
+		t.Errorf("ragged rows: err = %v, want ErrDimMismatch", err)
+	}
+}

@@ -47,16 +47,7 @@ func phaseOracle(keep float64) sweep.Oracle {
 	return sweep.Oracle{
 		Name: fmt.Sprintf("sparse-ls/keep=%g", keep),
 		Make: func(d int, r *rng.Rand) (grad.Oracle, vec.Dense, error) {
-			ds, err := data.GenLinear(data.LinearConfig{
-				Samples: 6 * d, Dim: d, NoiseStd: 0.05,
-			}, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := data.SparsifyRows(ds, keep, r); err != nil {
-				return nil, nil, err
-			}
-			sls, err := grad.NewSparseLeastSquares(ds, 4)
+			_, sls, err := phaseInstance(keep, d, r)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -65,11 +56,34 @@ func phaseOracle(keep float64) sweep.Oracle {
 	}
 }
 
+// phaseInstance draws one problem instance of the sparsity-axis entry
+// keep: the thinned dataset and its oracle.
+func phaseInstance(keep float64, d int, r *rng.Rand) (*data.Dataset, *grad.SparseLeastSquares, error) {
+	ds, err := data.GenLinear(data.LinearConfig{
+		Samples: 6 * d, Dim: d, NoiseStd: 0.05,
+	}, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := data.SparsifyRows(ds, keep, r); err != nil {
+		return nil, nil, err
+	}
+	sls, err := grad.NewSparseLeastSquares(ds, 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, sls, nil
+}
+
 // PhaseDiagramSpec builds the sweep spec for the staleness phase diagram.
 // The step size is derived once from probe instances of the sparsity axis
 // (SparsifyRows rescales surviving entries by 1/keep, so the smallest
 // keep dominates the curvature L): α = 0.3/L_max, stable across the whole
-// grid at a safety margin over per-replicate L variation.
+// grid at a safety margin over per-replicate L variation. A probe's L is
+// its dataset's max row norm², the value its oracle's Constants().L
+// holds; reading it from the dataset skips the lazy eigensolve behind
+// Constants().C. The probe oracle is still built, so a singular probe
+// instance rejects the spec.
 //
 // Several runtimes make one spec whose name joins the per-runtime names
 // with "+". Cell seeds fold axis values, never the spec name or grid
@@ -84,11 +98,11 @@ func PhaseDiagramSpec(o PhaseOpts) (sweep.Spec, error) {
 	var lmax float64
 	for i, keep := range o.Keeps {
 		om := phaseOracle(keep)
-		probe, _, err := om.Make(o.Dim, rng.New(o.Seed+uint64(i)*0x9E3779B9))
+		ds, _, err := phaseInstance(keep, o.Dim, rng.New(o.Seed+uint64(i)*0x9E3779B9))
 		if err != nil {
 			return sweep.Spec{}, fmt.Errorf("probe %s: %w", om.Name, err)
 		}
-		if l := probe.Constants().L; l > lmax {
+		if l := ds.MaxRowNorm2Sq(); l > lmax {
 			lmax = l
 		}
 		oracles = append(oracles, om)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
+	"asyncsgd/internal/rng"
 	"asyncsgd/internal/sweep"
 )
 
@@ -53,5 +55,19 @@ func TestPhaseDiagramSpecShape(t *testing.T) {
 	}
 	if _, err := PhaseDiagramSpec(PhaseOpts{Runtimes: []sweep.Runtime{sweep.Machine}}); err == nil {
 		t.Error("empty axes accepted")
+	}
+}
+
+// TestProbeLMatchesOracleConstants: the α probe's L, read from the
+// dataset, carries the bits of the oracle's Constants().L.
+func TestProbeLMatchesOracleConstants(t *testing.T) {
+	for _, keep := range []float64{0.15, 0.3, 0.6} {
+		ds, sls, err := phaseInstance(keep, 24, rng.New(uint64(1000*keep)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ds.MaxRowNorm2Sq(), sls.Constants().L; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("keep=%g: dataset L = %v, oracle L = %v", keep, got, want)
+		}
 	}
 }

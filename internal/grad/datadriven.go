@@ -3,6 +3,7 @@ package grad
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"asyncsgd/internal/data"
 	"asyncsgd/internal/rng"
@@ -20,35 +21,102 @@ import (
 type LeastSquares struct {
 	ds    *data.Dataset
 	xstar vec.Dense
-	cst   Constants
+	cst   Constants // C is filled in from c
+	c     *strongConvexity
 }
 
 var _ Oracle = (*LeastSquares)(nil)
 
+// minEigen is the acceptance threshold on λmin(G): at or below it the
+// objective is treated as not strongly convex.
+const minEigen = 1e-12
+
+// strongConvexity is c = λmin(G), computed on first use. Only the
+// step-size theorems read c, and its Jacobi eigensolve costs O(d³) per
+// sweep, so oracles that never report it never pay for it. Clones share
+// one instance, so the solve runs at most once per oracle family.
+type strongConvexity struct {
+	once sync.Once
+	gram func() *vec.Sym // rebuilds G; dropped after the solve
+	c    float64
+}
+
+func (s *strongConvexity) value() float64 {
+	s.once.Do(func() {
+		s.c, _, _ = s.gram().ExtremeEigenvalues() // the Jacobi solve never fails
+		s.gram = nil
+	})
+	return s.c
+}
+
 // NewLeastSquares builds the oracle, solving for x* and deriving the
 // analytic constants from the dataset. r0 is the ball radius for the M²
-// bound. It returns an error when the Gram matrix is singular (the
-// objective is then not strongly convex and outside the paper's
-// assumptions).
+// bound. It returns an error when the data holds a non-finite value or
+// when the Gram matrix is singular (the objective is then not strongly
+// convex and outside the paper's assumptions).
 func NewLeastSquares(ds *data.Dataset, r0 float64) (*LeastSquares, error) {
-	d := ds.Dim()
-	if d == 0 || r0 <= 0 {
-		return nil, ErrBadParam
+	if err := checkLeastSquaresData(ds, r0); err != nil {
+		return nil, err
 	}
 	g, err := ds.Gram()
 	if err != nil {
 		return nil, err
 	}
-	lmin, _, err := g.ExtremeEigenvalues()
+	c := &strongConvexity{gram: func() *vec.Sym {
+		g, _ := ds.Gram() // succeeded once on the same rows
+		return g
+	}}
+	xstar, cst, err := fitLeastSquares(ds, g, r0, c)
 	if err != nil {
 		return nil, err
 	}
-	if lmin <= 1e-12 {
-		return nil, fmt.Errorf("%w: singular Gram matrix (λmin=%.3g), need m ≥ d and full rank", ErrBadParam, lmin)
+	return &LeastSquares{ds: ds, xstar: xstar, cst: cst, c: c}, nil
+}
+
+// checkLeastSquaresData validates the inputs shared by the dense and
+// sparse least-squares oracles: a non-empty dimension, a positive radius,
+// one label per row and finite rows and labels. A non-finite value would
+// otherwise slip through as a NaN optimum.
+func checkLeastSquaresData(ds *data.Dataset, r0 float64) error {
+	if ds.Dim() == 0 || r0 <= 0 {
+		return ErrBadParam
+	}
+	if len(ds.Labels) != ds.Len() {
+		return fmt.Errorf("%w: %d labels for %d rows", ErrBadParam, len(ds.Labels), ds.Len())
+	}
+	for i, a := range ds.Rows {
+		for j, v := range a {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: non-finite feature a[%d][%d]=%v", ErrBadParam, i, j, v)
+			}
+		}
+		if b := ds.Labels[i]; math.IsNaN(b) || math.IsInf(b, 0) {
+			return fmt.Errorf("%w: non-finite label b[%d]=%v", ErrBadParam, i, b)
+		}
+	}
+	return nil
+}
+
+// fitLeastSquares accepts the data iff λmin(G) > minEigen, solves the
+// normal equations for x* and derives L, M² and R; g is the Gram matrix
+// of ds and is consumed by the solve. The acceptance rule is checked by a
+// Cholesky factorisation of G − minEigen·I. Only when that fails does the
+// Jacobi eigensolve run, so a rejection reports the same λmin as before,
+// and a Cholesky failure the eigensolve overrules keeps its λmin in c.
+func fitLeastSquares(ds *data.Dataset, g *vec.Sym, r0 float64, c *strongConvexity) (vec.Dense, Constants, error) {
+	if !g.PositiveDefiniteAbove(minEigen) {
+		lmin, _, err := g.ExtremeEigenvalues()
+		if err != nil {
+			return nil, Constants{}, err
+		}
+		if !(lmin > minEigen) {
+			return nil, Constants{}, fmt.Errorf("%w: singular Gram matrix (λmin=%.3g), need m ≥ d and full rank", ErrBadParam, lmin)
+		}
+		c.once.Do(func() { c.c, c.gram = lmin, nil })
 	}
 	xstar, err := solveNormalEquations(ds, g)
 	if err != nil {
-		return nil, err
+		return nil, Constants{}, err
 	}
 	// Per-sample Lipschitz and second-moment constants.
 	var lMax, m2 float64
@@ -63,28 +131,22 @@ func NewLeastSquares(ds *data.Dataset, r0 float64) (*LeastSquares, error) {
 			m2 = b2
 		}
 	}
-	return &LeastSquares{
-		ds:    ds,
-		xstar: xstar,
-		cst:   Constants{C: lmin, L: lMax, M2: m2, R: r0},
-	}, nil
+	return xstar, Constants{L: lMax, M2: m2, R: r0}, nil
 }
 
 // solveNormalEquations solves G·x = (1/m)Aᵀb by Gaussian elimination with
-// partial pivoting (d is small).
+// partial pivoting (d is small). It factors g in place, so g is garbage
+// afterwards.
 func solveNormalEquations(ds *data.Dataset, g *vec.Sym) (vec.Dense, error) {
 	d := ds.Dim()
-	rhs := vec.NewDense(d)
+	x := vec.NewDense(d) // right-hand side, then solution
 	w := 1 / float64(ds.Len())
 	for i, a := range ds.Rows {
-		if err := rhs.AddScaled(w*ds.Labels[i], a); err != nil {
+		if err := x.AddScaled(w*ds.Labels[i], a); err != nil {
 			return nil, err
 		}
 	}
-	// Dense LU solve on a copy of G.
-	m := make([]float64, d*d)
-	copy(m, g.Data)
-	x := rhs.Clone()
+	m := g.Data
 	for col := 0; col < d; col++ {
 		piv := col
 		for r := col + 1; r < d; r++ {
@@ -160,8 +222,13 @@ func (l *LeastSquares) Grad(dst, x vec.Dense, r *rng.Rand) {
 // Optimum implements Oracle.
 func (l *LeastSquares) Optimum() vec.Dense { return l.xstar.Clone() }
 
-// Constants implements Oracle.
-func (l *LeastSquares) Constants() Constants { return l.cst }
+// Constants implements Oracle. The first call computes c (see
+// strongConvexity).
+func (l *LeastSquares) Constants() Constants {
+	cst := l.cst
+	cst.C = l.c.value()
+	return cst
+}
 
 // CloneFor implements Oracle. The dataset is immutable and shared.
 func (l *LeastSquares) CloneFor(int) Oracle {

@@ -125,13 +125,14 @@ func (s *SingleCoordinate) GradSparseAt(dst *vec.Sparse, vals []float64, r *rng.
 //
 // Constants are derived exactly as for the dense LeastSquares oracle
 // (from the Gram matrix and the normal-equations solution); construction
-// fails on a singular Gram matrix.
+// fails on non-finite data or a singular Gram matrix.
 type SparseLeastSquares struct {
 	rows   []vec.Sparse
 	labels []float64
 	d      int
 	xstar  vec.Dense
-	cst    Constants
+	cst    Constants // C is filled in from c
+	c      *strongConvexity
 
 	planI int
 }
@@ -141,23 +142,51 @@ var _ SparseOracle = (*SparseLeastSquares)(nil)
 
 // NewSparseLeastSquares builds the oracle from a dataset (typically one
 // whose rows were thinned with data.SparsifyRows), storing rows in
-// coordinate form. r0 is the M² ball radius.
+// coordinate form. r0 is the M² ball radius. The Gram matrix is built
+// from the stored rows, so its cost is Σ nnz_i² rather than m·d², and the
+// oracle keeps no reference to ds.Rows.
 func NewSparseLeastSquares(ds *data.Dataset, r0 float64) (*SparseLeastSquares, error) {
-	base, err := NewLeastSquares(ds, r0)
+	if err := checkLeastSquaresData(ds, r0); err != nil {
+		return nil, err
+	}
+	d := ds.Dim()
+	rows := make([]vec.Sparse, ds.Len())
+	for i, row := range ds.Rows {
+		rows[i] = vec.FromDense(row)
+	}
+	g, err := sparseGram(d, rows)
 	if err != nil {
 		return nil, err
 	}
-	s := &SparseLeastSquares{
-		rows:   make([]vec.Sparse, ds.Len()),
+	c := &strongConvexity{gram: func() *vec.Sym {
+		g, _ := sparseGram(d, rows) // succeeded once on the same rows
+		return g
+	}}
+	xstar, cst, err := fitLeastSquares(ds, g, r0, c)
+	if err != nil {
+		return nil, err
+	}
+	return &SparseLeastSquares{
+		rows:   rows,
 		labels: ds.Labels,
-		d:      ds.Dim(),
-		xstar:  base.xstar,
-		cst:    base.cst,
+		d:      d,
+		xstar:  xstar,
+		cst:    cst,
+		c:      c,
+	}, nil
+}
+
+// sparseGram is data.Dataset.Gram over coordinate-form rows; both skip
+// zero coordinates, so the two produce the same bits.
+func sparseGram(d int, rows []vec.Sparse) (*vec.Sym, error) {
+	g := vec.NewSym(d)
+	w := 1 / float64(len(rows))
+	for _, r := range rows {
+		if err := g.AddOuterSparse(w, r); err != nil {
+			return nil, err
+		}
 	}
-	for i, row := range ds.Rows {
-		s.rows[i] = vec.FromDense(row)
-	}
-	return s, nil
+	return g, nil
 }
 
 // Dim implements Oracle.
@@ -228,8 +257,13 @@ func (s *SparseLeastSquares) GradSparseAt(dst *vec.Sparse, vals []float64, _ *rn
 // Optimum implements Oracle.
 func (s *SparseLeastSquares) Optimum() vec.Dense { return s.xstar.Clone() }
 
-// Constants implements Oracle.
-func (s *SparseLeastSquares) Constants() Constants { return s.cst }
+// Constants implements Oracle. The first call computes c (see
+// strongConvexity).
+func (s *SparseLeastSquares) Constants() Constants {
+	cst := s.cst
+	cst.C = s.c.value()
+	return cst
+}
 
 // CloneFor implements Oracle. Rows and labels are immutable and shared;
 // the plan state is per-clone.

@@ -4,13 +4,13 @@ import "container/list"
 
 // cached is one completed deterministic sweep retained for replay: the
 // job's event stream (per-cell results plus the final aggregate event)
-// and the exact document bytes the first computation produced. A cache
-// hit replays both verbatim, so a repeated identical spec is served
-// without recomputation and byte-identical to the original response —
-// including its timing fields, which a recomputation would perturb.
+// and the Report the first computation produced. A cache hit replays
+// both verbatim, so a repeated identical spec is served without
+// recomputation and byte-identical to the original response — including
+// its timing fields, which a recomputation would perturb.
 type cached struct {
 	events []Event
-	doc    []byte
+	report *Report
 }
 
 // lruCache is a size-bounded LRU map from request cache keys (see

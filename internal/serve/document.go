@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -53,6 +54,18 @@ func (r *Report) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// encoded returns the document's canonical bytes (see Encode). A
+// finished job encodes its Report on every read instead of keeping the
+// bytes; the Report is immutable by then, so every read gets the same
+// bytes.
+func (r *Report) encoded() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := r.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // FailedCells counts sweep cells that recorded an error.

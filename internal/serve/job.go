@@ -32,7 +32,9 @@ const (
 //     identical interleaved stream an early subscriber saw.
 //   - "aggregate": the terminal success event; Document is the full
 //     asgdbench/v2 report (the bytes GET …/result returns, compacted
-//     into the event line).
+//     into the event line). A job's buffered aggregate event leaves
+//     Document empty: the stream encodes it from the job's Report as
+//     the event is written.
 //   - "error": the terminal failure/cancellation event.
 type Event struct {
 	Type      string                 `json:"type"`
@@ -44,8 +46,9 @@ type Event struct {
 
 // Job is one submitted sweep: its normalized request, its position in
 // the queue, its buffered event stream (kept whole so late subscribers
-// replay from the beginning), and — once done — the final document
-// bytes.
+// replay from the beginning), and — once done — the final Report. A
+// finished job holds its results once: its cell events point into
+// Report.Sweep.Results, and the document bytes are encoded on demand.
 type Job struct {
 	// Immutable after creation.
 	id    string
@@ -61,9 +64,9 @@ type Job struct {
 	cached    bool
 	errMsg    string
 	events    []Event
-	completed int // cell events so far
-	failed    int // … of which carried an error
-	doc       []byte
+	completed int     // cell events so far
+	failed    int     // … of which carried an error
+	report    *Report // set once done
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -123,30 +126,50 @@ func (j *Job) appendTelemetry(ts sweep.TelemetrySample) {
 // racing the executor) are no-ops. Terminal jobs also release their
 // context's cancel registration so a long-lived server does not
 // accumulate one child context per submission.
-func (j *Job) finish(state string, doc []byte, errMsg string) {
+func (j *Job) finish(state string, rep *Report, errMsg string) {
 	j.mu.Lock()
-	j.finishLocked(state, doc, errMsg)
+	j.finishLocked(state, rep, errMsg)
 	j.mu.Unlock()
 	j.cancel()
 }
 
 // finishLocked is finish without the locking or the context release.
 // Callers hold j.mu and must call j.cancel() after unlocking.
-func (j *Job) finishLocked(state string, doc []byte, errMsg string) {
+func (j *Job) finishLocked(state string, rep *Report, errMsg string) {
 	if j.terminal() {
 		return
 	}
 	j.state = state
 	j.errMsg = errMsg
-	j.doc = doc
 	//asgdvet:allow nondet(queue timestamps feed status seconds and metrics, never the result document)
 	j.finished = time.Now()
 	if state == JobDone {
-		j.events = append(j.events, Event{Type: "aggregate", Document: doc})
+		j.report = rep
+		j.shareCells()
+		j.events = append(j.events, Event{Type: "aggregate"})
 	} else {
 		j.events = append(j.events, Event{Type: "error", Err: errMsg})
 	}
 	j.bump()
+}
+
+// shareCells re-points each cell event at the report's copy of the same
+// result, so a finished job keeps one copy of its cells. An event whose
+// value differs from the report's keeps its own. Callers hold j.mu.
+func (j *Job) shareCells() {
+	if j.report == nil || j.report.Sweep == nil {
+		return
+	}
+	results := j.report.Sweep.Results
+	for i := range j.events {
+		c := j.events[i].Cell
+		if c == nil || c.Index < 0 || c.Index >= len(results) {
+			continue
+		}
+		if r := &results[c.Index]; *r == *c {
+			j.events[i].Cell = r
+		}
+	}
 }
 
 // terminal reports whether the job has reached a final state. Callers
@@ -187,11 +210,13 @@ func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
 // GET /v1/sweeps/{id}/result body), or false while the job is not done.
 func (j *Job) Result() ([]byte, bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobDone {
+	state, rep := j.state, j.report
+	j.mu.Unlock()
+	if state != JobDone {
 		return nil, false
 	}
-	return j.doc, true
+	doc, err := rep.encoded()
+	return doc, err == nil
 }
 
 // JobStatus is the introspection record of one job (GET /v1/sweeps/{id}

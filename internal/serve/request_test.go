@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -106,6 +107,28 @@ func TestKeyGolden(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("Key(%+v) = %s, want %s", tc.req, got, tc.want)
+		}
+	}
+}
+
+// TestAlphaGolden pins the step size the α probe derives for the default
+// request and for dim 128: the probe reads L from the dataset instead of
+// the oracle's Constants, and α must keep its bits.
+func TestAlphaGolden(t *testing.T) {
+	for _, tc := range []struct {
+		req  SweepRequest
+		want uint64
+	}{
+		{SweepRequest{}, 0x3f37a6bec7376e85},
+		{SweepRequest{Dim: 128}, 0x3f24771a4f0366e6},
+	} {
+		specs, err := tc.req.Specs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := specs[0].Alphas[0]; math.Float64bits(got) != tc.want {
+			t.Errorf("α(%+v) = %v (%#x), want %v (%#x)", tc.req,
+				got, math.Float64bits(got), math.Float64frombits(tc.want), tc.want)
 		}
 	}
 }

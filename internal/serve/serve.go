@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -202,7 +202,7 @@ func (s *Server) cachedJobLocked(req SweepRequest, key string, cells int, hit *c
 	job.cached = true
 	job.state = JobDone
 	job.events = hit.events
-	job.doc = hit.doc
+	job.report = hit.report
 	for _, e := range hit.events {
 		if e.Type == "cell" {
 			job.completed++
@@ -311,6 +311,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	j.state = JobRunning
+	j.events = make([]Event, 0, j.cells+1) // every cell, then the aggregate
 	//asgdvet:allow nondet(queue-wait metric and status seconds are wall-clock; the document is not)
 	j.started = time.Now()
 	j.bump()
@@ -343,18 +344,19 @@ func (s *Server) runJob(j *Job) {
 	doc, err := s.dispatcher.DispatchSweep(j.ctx, j.id, j.req, onCell, onTelemetry)
 	switch {
 	case err == nil:
-		var buf bytes.Buffer
-		if encErr := doc.Encode(&buf); encErr != nil {
+		// The document is encoded on every read; encode it once now so
+		// an unencodable report fails the job instead of its readers.
+		if encErr := doc.Encode(io.Discard); encErr != nil {
 			j.finish(JobFailed, nil, encErr.Error())
 			break
 		}
-		j.finish(JobDone, buf.Bytes(), "")
+		j.finish(JobDone, doc, "")
 		if j.req.Cacheable() {
 			j.mu.Lock()
 			// Copy the event buffer: the cached entry outlives the job
 			// and is shared by every future cache-hit job, so it must not
 			// alias a live slice anyone could append to.
-			entry := &cached{events: append([]Event(nil), j.events...), doc: j.doc}
+			entry := &cached{events: append([]Event(nil), j.events...), report: j.report}
 			key := j.key
 			j.mu.Unlock()
 			s.mu.Lock()
@@ -565,10 +567,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job.status())
 }
 
-// handleResult returns the final document bytes verbatim. For a cached
-// job these are the original computation's bytes, so two submissions of
-// an identical deterministic spec answer with identical bodies —
-// including the timing fields a recomputation would perturb.
+// handleResult returns the final document bytes. For a cached job they
+// encode the original computation's Report, so two submissions of an
+// identical deterministic spec answer with identical bodies — including
+// the timing fields a recomputation would perturb.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -576,7 +578,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.mu.Lock()
-	state, doc := job.state, job.doc
+	state, rep := job.state, job.report
 	job.mu.Unlock()
 	switch state {
 	case JobDone:
@@ -589,6 +591,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("serve: job %s is %s, result available once done", job.id, state))
+		return
+	}
+	doc, err := rep.encoded()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -626,10 +633,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		copy(pending, job.events[next:])
 		next = len(job.events)
 		terminal := job.terminal()
+		rep := job.report
 		wake := job.notify
 		job.mu.Unlock()
 
 		for _, e := range pending {
+			if e.Type == "aggregate" {
+				doc, err := rep.encoded()
+				if err != nil {
+					return
+				}
+				e.Document = doc
+			}
 			payload, err := json.Marshal(e)
 			if err != nil {
 				return

@@ -679,7 +679,7 @@ func TestFinishIsIdempotent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := newJob("j1", "k", SweepRequest{}, 1, ctx, cancel)
 	j.finish(JobCanceled, nil, "canceled")
-	j.finish(JobDone, []byte("{}"), "")
+	j.finish(JobDone, &Report{}, "")
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobCanceled || len(j.events) != 1 || j.events[0].Type != "error" {
@@ -692,5 +692,108 @@ func TestFinishIsIdempotent(t *testing.T) {
 	j.mu.Lock()
 	if len(j.events) != 1 {
 		t.Fatalf("cell event appended after terminal: %+v", j.events)
+	}
+}
+
+// gatedDispatcher runs jobs in process once release is closed.
+type gatedDispatcher struct{ release chan struct{} }
+
+func (g gatedDispatcher) DispatchSweep(ctx context.Context, id string, req SweepRequest,
+	onCell func(sweep.CellResult), onTelemetry func(sweep.TelemetrySample)) (*Report, error) {
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return localDispatcher{}.DispatchSweep(ctx, id, req, onCell, onTelemetry)
+}
+
+// TestFinishedJobReplaysIdenticalBytes: a finished job keeps one Report
+// and encodes it on every read, so a subscriber streaming since before
+// the first cell, a subscriber arriving after the end, a cache-hit job
+// and GET …/result must all see identical bytes.
+func TestFinishedJobReplaysIdenticalBytes(t *testing.T) {
+	gate := gatedDispatcher{release: make(chan struct{})}
+	s, hs := newTestServer(t, Config{Dispatcher: gate})
+	req := tinyRequest(907)
+	st := submit(t, hs.URL, req)
+
+	stream := func(id string) []byte {
+		resp, err := http.Get(hs.URL + "/v1/sweeps/" + id + "/events")
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return body
+	}
+	earlyc := make(chan []byte, 1)
+	go func() { earlyc <- stream(st.ID) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.met.subscribers.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("early subscriber never connected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	early := <-earlyc
+	if final := waitDone(t, hs.URL, st.ID); final.State != JobDone {
+		t.Fatalf("job: %+v", final)
+	}
+
+	late := stream(st.ID)
+	result := fetchResult(t, hs.URL, st.ID)
+	hit := submit(t, hs.URL, req)
+	if !hit.Cached {
+		t.Fatal("resubmission did not hit the cache")
+	}
+	hitStream, hitResult := stream(hit.ID), fetchResult(t, hs.URL, hit.ID)
+	job, ok := s.job(st.ID)
+	if !ok {
+		t.Fatal("job pruned")
+	}
+	direct, ok := job.Result()
+	if !ok {
+		t.Fatal("Job.Result not available on a done job")
+	}
+
+	lines := bytes.Split(bytes.TrimSpace(early), []byte("\n"))
+	if len(lines) != st.Cells+1 {
+		t.Fatalf("early stream has %d lines, want %d cells + aggregate", len(lines), st.Cells)
+	}
+	var agg Event
+	if err := json.Unmarshal(lines[len(lines)-1], &agg); err != nil || agg.Type != "aggregate" {
+		t.Fatalf("terminal line %s: %v", lines[len(lines)-1], err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(agg.Document, compact.Bytes()) {
+		t.Error("aggregate event document differs from /result")
+	}
+	for name, got := range map[string][]byte{"late stream": late, "cache-hit stream": hitStream} {
+		if !bytes.Equal(got, early) {
+			t.Errorf("%s differs from the early subscriber's stream", name)
+		}
+	}
+	for name, got := range map[string][]byte{"cache-hit result": hitResult, "Job.Result": direct} {
+		if !bytes.Equal(got, result) {
+			t.Errorf("%s differs from /result", name)
+		}
+	}
+
+	// The finished job's cell events share the report's results.
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	for i, e := range job.events[:st.Cells] {
+		if e.Cell != &job.report.Sweep.Results[e.Cell.Index] {
+			t.Errorf("cell event %d holds its own copy of result %d", i, e.Cell.Index)
+		}
 	}
 }

@@ -112,3 +112,76 @@ func TestEigenvaluesTraceAndPSD(t *testing.T) {
 		t.Errorf("rank-deficient Gram should have zero eigenvalue, got %v", eig[0])
 	}
 }
+
+// TestAddOuterSparseBitIdentical pins that skipping zero coordinates
+// leaves every Gram entry bit-identical to the dense rank-one update,
+// including the signed-zero products (negative entry × 0 = −0) the dense
+// loop adds and the sparse loop skips.
+func TestAddOuterSparseBitIdentical(t *testing.T) {
+	rows := []Dense{
+		{-2, 0, 3, 0},
+		{0, -1.5, 0, 0},
+		{math.Copysign(0, -1), 4, -0.25, 0},
+		{0, 0, 0, 0},
+		{1e-300, -1e-300, 0, 7},
+		{-3, 0, 0, -1e-170},
+	}
+	dense, sparse := NewSym(4), NewSym(4)
+	w := 1 / float64(len(rows))
+	for _, r := range rows {
+		if err := dense.AddOuter(w, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := sparse.AddOuterSparse(w, FromDense(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	negZero := 0
+	for i := range dense.Data {
+		if math.Float64bits(dense.Data[i]) != math.Float64bits(sparse.Data[i]) {
+			t.Errorf("entry %d: dense %v (%#x) vs sparse %v (%#x)", i,
+				dense.Data[i], math.Float64bits(dense.Data[i]),
+				sparse.Data[i], math.Float64bits(sparse.Data[i]))
+		}
+		if dense.Data[i] == 0 && math.Signbit(dense.Data[i]) {
+			negZero++
+		}
+	}
+	if negZero != 0 {
+		t.Errorf("%d Gram entries are −0; sums starting at +0 never are", negZero)
+	}
+	if err := sparse.AddOuterSparse(1, Sparse{Dim: 3}); err == nil {
+		t.Error("dim mismatch accepted")
+	}
+}
+
+func TestPositiveDefiniteAbove(t *testing.T) {
+	diag := func(v ...float64) *Sym {
+		s := NewSym(len(v))
+		for i, x := range v {
+			s.Set(i, i, x)
+		}
+		return s
+	}
+	coupled := diag(2, 2) // [2 1; 1 2]: eigenvalues 1 and 3
+	coupled.Set(0, 1, 1)
+	cases := []struct {
+		name  string
+		s     *Sym
+		shift float64
+		want  bool
+	}{
+		{"identity", diag(1, 1, 1), 1e-12, true},
+		{"tiny eigenvalue", diag(1, 5e-13, 2), 1e-12, false},
+		{"zero eigenvalue", diag(3, 0, 1), 0, false},
+		{"negative shift", diag(1, -1), -2, true},
+		{"nan", diag(1, math.NaN()), 0, false},
+		{"coupled below", coupled, 0.999, true},
+		{"coupled above", coupled, 1.001, false},
+	}
+	for _, c := range cases {
+		if got := c.s.PositiveDefiniteAbove(c.shift); got != c.want {
+			t.Errorf("%s: PositiveDefiniteAbove(%g) = %v, want %v", c.name, c.shift, got, c.want)
+		}
+	}
+}

@@ -83,3 +83,24 @@ func TestSparseApplyDimMismatch(t *testing.T) {
 		t.Error("DotDense accepted wrong-dimension operand")
 	}
 }
+
+// TestFromDenseAllocs: FromDense sizes its two slices exactly, so a row
+// with non-zeros costs two allocations and an all-zero row none.
+func TestFromDenseAllocs(t *testing.T) {
+	row := Dense{0, 1.5, 0, 0, -2, 0, 3}
+	var out Sparse
+	if n := testing.AllocsPerRun(100, func() { out = FromDense(row) }); n != 2 {
+		t.Errorf("non-empty row: %v allocs, want 2", n)
+	}
+	if out.NNZ() != 3 || cap(out.Indices) != 3 || cap(out.Values) != 3 {
+		t.Errorf("FromDense = %+v (caps %d, %d), want 3 entries at exact capacity",
+			out, cap(out.Indices), cap(out.Values))
+	}
+	zero := NewDense(16)
+	if n := testing.AllocsPerRun(100, func() { out = FromDense(zero) }); n != 0 {
+		t.Errorf("all-zero row: %v allocs, want 0", n)
+	}
+	if out.NNZ() != 0 || out.Dim != 16 {
+		t.Errorf("FromDense(zero) = %+v", out)
+	}
+}
