@@ -17,11 +17,11 @@ import (
 // promised beyond the lock-free/lock-based built-ins:
 //
 //   - NewBoundedStaleness(tau): a staleness gate. Iterations acquire
-//     tickets and publish completions in ticket order, and a ticket may
-//     take its view only once every ticket older than τ has fully
-//     completed. The maximum delay an execution can exhibit — the τ that
-//     parameterizes Theorem 6.5's bound and that the Section-5 adversary
-//     inflates — is therefore capped at τ by construction.
+//     tickets through a striped announce window (stripedWindow), and a
+//     ticket may take its view only once every ticket older than τ has
+//     fully completed. The maximum delay an execution can exhibit — the
+//     τ that parameterizes Theorem 6.5's bound and that the Section-5
+//     adversary inflates — is therefore capped at τ by construction.
 //   - NewUpdateBatching(b): local update batching. Each worker accumulates
 //     b gradients in a local vec.Sparse buffer and applies them in one
 //     scatter fetch&add pass, cutting shared-memory write traffic ~b×.
@@ -78,6 +78,8 @@ type announceSlot struct {
 //	acquire:  announce the candidate ticket t in the own slot BEFORE
 //	          CAS-claiming it from issued, so a claimed-but-incomplete
 //	          ticket is visible in its holder's slot at every instant;
+//	          a worker refused admission retracts (stores idleSlot)
+//	          BEFORE yielding, and re-announces on its next retry;
 //	release:  store idleSlot — one uncontended write, no ordering spin.
 //
 // The low-water mark is min(issued, slots...) with issued loaded BEFORE
@@ -89,6 +91,13 @@ type announceSlot struct {
 // preserved exactly (see acquire). Completion of a ticket is permanent,
 // so the mark is monotone and lwm caches the best scan: admissions whose
 // threshold is already met skip the O(workers) scan entirely.
+//
+// The retract is sound because a waiter holds no claimed ticket: the
+// invariant only needs claimed, incomplete tickets in the slots, and
+// dropping an unclaimed announce can only raise the scan. Without it a
+// descheduled waiter's stale announce holds lowWater down and blocks
+// every other worker until the waiter runs again — only a claimed,
+// unreleased ticket may pin the gate.
 type stripedWindow struct {
 	issued atomic.Int64
 	lwm    atomic.Int64 // cached low-water mark, only ever raised
@@ -144,7 +153,8 @@ func (w *stripedWindow) lowWater() int64 {
 // at most τ iterations begin during any iteration's flight, exactly the
 // ordered window's bound. The caller's own announce satisfies
 // t ≥ minDone(t) for every gate shape, so a spinning worker never
-// blocks itself (liveness); it re-announces each retry.
+// blocks itself (liveness); it re-announces each retry and retracts
+// before each yield (see stripedWindow).
 func (w *stripedWindow) acquire(slot int, minDone func(t int64) int64) int64 {
 	me := &w.slots[slot].t
 	for {
@@ -157,6 +167,7 @@ func (w *stripedWindow) acquire(slot int, minDone func(t int64) int64) int64 {
 			}
 			continue
 		}
+		me.Store(idleSlot) // retract before yield: a waiter claims nothing
 		runtime.Gosched()
 	}
 }

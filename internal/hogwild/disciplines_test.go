@@ -162,6 +162,40 @@ func TestEpochFenceConsistentSnapshots(t *testing.T) {
 	}
 }
 
+// TestEpochFenceOversubscribedExactAndLive: 8 workers contend for the
+// fence's window, far more than the every−1 iterations an epoch lets
+// interleave, so most admissions are refused and yield. The run must
+// still finish its whole budget, apply every update (counting oracle:
+// the final model is exact) and keep the observed staleness ≤ every−1.
+func TestEpochFenceOversubscribedExactAndLive(t *testing.T) {
+	const T, alpha, k, d = 3000, 0.001, 2, 8
+	for _, every := range []int{1, 2, 8} {
+		strat := NewEpochFence(every)
+		res, err := Run(Config{
+			Workers: 8, TotalIters: T, Alpha: alpha,
+			Oracle: constSparseOracle{d: d, k: k}, Strategy: strat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != T {
+			t.Errorf("every=%d: completed %d/%d iterations", every, res.Iters, T)
+		}
+		if got := strat.(StalenessBounded).ObservedMaxStaleness(); got > every-1 {
+			t.Errorf("every=%d: observed staleness %d exceeds every−1 = %d", every, got, every-1)
+		}
+		for j := 0; j < d; j++ {
+			want := 0.0
+			if j < k {
+				want = -alpha * T
+			}
+			if math.Abs(res.Final[j]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+				t.Errorf("every=%d: X[%d] = %v, want %v (lost updates)", every, j, res.Final[j], want)
+			}
+		}
+	}
+}
+
 // TestDisciplinesConverge: each discipline must reach the optimum of a
 // well-conditioned quadratic like the plain lock-free strategy does.
 func TestDisciplinesConverge(t *testing.T) {

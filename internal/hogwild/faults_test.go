@@ -3,7 +3,9 @@ package hogwild
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,6 +105,80 @@ func TestStripedWindowOrphanPinsGateUntilReclaimed(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("admission still blocked after the orphaned ticket was reclaimed")
+	}
+}
+
+// TestStripedWindowYieldedWaiterDoesNotPinGate: a worker refused
+// admission holds no ticket, so it must not hold the low-water mark
+// down while it sits in the run queue. With τ=1, A holds ticket 0 and B
+// holds ticket 1, so W (waiting on ticket 2) is refused. Under
+// GOMAXPROCS(1) W then stays descheduled while A and B release, A takes
+// and releases 2, and B takes 3. Every ticket below 3 has completed, so
+// lowWater must be 3 and ticket 4 admissible without W running again. A
+// waiter that yields with its candidate still announced holds the mark
+// at 2 instead.
+func TestStripedWindowYieldedWaiterDoesNotPinGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	var win stripedWindow
+	win.reset()
+	a, b, w := win.register(), win.register(), win.register()
+	const tau = 1
+	minDone := func(ticket int64) int64 { return ticket - tau }
+	var attempts atomic.Int64
+	waiterMinDone := func(ticket int64) int64 {
+		attempts.Add(1)
+		return minDone(ticket)
+	}
+
+	if got := win.acquire(a, minDone); got != 0 {
+		t.Fatalf("A acquired ticket %d, want 0", got)
+	}
+	if got := win.acquire(b, minDone); got != 1 {
+		t.Fatalf("B acquired ticket %d, want 1", got)
+	}
+
+	acquired := make(chan int64, 1)
+	go func() { acquired <- win.acquire(w, waiterMinDone) }()
+	// Release every other slot on an early exit, so W can finish.
+	defer func() { win.release(a); win.release(b) }()
+	// With one processor, yielding hands it to W; W's refused attempt
+	// yields it back.
+	deadline := time.Now().Add(5 * time.Second)
+	for attempts.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never attempted admission")
+		}
+		runtime.Gosched()
+	}
+
+	// No yield from here on: W does not run again until B releases.
+	win.release(a)
+	win.release(b)
+	if got := win.acquire(a, minDone); got != 2 {
+		t.Fatalf("A acquired ticket %d, want 2", got)
+	}
+	win.release(a)
+	if got := win.acquire(b, minDone); got != 3 {
+		t.Fatalf("B acquired ticket %d, want 3", got)
+	}
+	lw := win.lowWater()
+	win.release(b)
+	if lw != 3 {
+		t.Errorf("lowWater = %d with only ticket 3 in flight, want 3 (the yielded waiter pins the gate)", lw)
+	}
+	if lw < minDone(4) {
+		t.Errorf("ticket 4 not admissible: lowWater %d < %d", lw, minDone(4))
+	}
+
+	select {
+	case tk := <-acquired:
+		if tk != 4 {
+			t.Errorf("waiter acquired ticket %d, want 4", tk)
+		}
+		win.release(w)
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after every other ticket was released")
 	}
 }
 

@@ -1,6 +1,7 @@
 package hogwild
 
 import (
+	"runtime"
 	"testing"
 
 	"asyncsgd/internal/data"
@@ -129,11 +130,12 @@ func TestSparseGatedOpsBeatDense(t *testing.T) {
 }
 
 // TestOrderedWindowLivenessWorkersExceedTau pins the liveness of the
-// ordered ticket window when the worker count far exceeds the staleness
+// striped ticket window when the worker count far exceeds the staleness
 // bound: with τ=1 at most 2 iterations may be in flight, so 8 workers
-// spend most of their time gated or waiting to publish. A lost wakeup or
-// a publication-order bug deadlocks this configuration; the CI race job
-// additionally runs it under -race.
+// spend most of their time refused at the gate. A lost wakeup or a
+// release that misses its slot deadlocks this configuration, and an
+// announce left behind by a refused worker that yields its processor
+// convoys it; the CI race job additionally runs it under -race.
 func TestOrderedWindowLivenessWorkersExceedTau(t *testing.T) {
 	q, err := grad.NewIsoQuadratic(4, 1, 0.2, 3, nil)
 	if err != nil {
@@ -197,6 +199,56 @@ func BenchmarkGatedSparseVsDense(b *testing.B) {
 				}
 				b.ReportMetric(float64(res.CoordOps)/float64(res.Iters), "coordops/iter")
 			}
+		})
+	}
+}
+
+// BenchmarkGatedOversubscribed measures the window-gated disciplines
+// with more workers than processors: one op is a 20000-iteration run on
+// 2×GOMAXPROCS workers over the hogwild sweep's d=32 sparse
+// least-squares instance at keep 0.3. Most admissions are refused and
+// yield their processor, so the arms time how well the gate lets the
+// running workers progress while refused ones wait in the run queue.
+func BenchmarkGatedOversubscribed(b *testing.B) {
+	const d, iters = 32, 20000
+	gen := rng.New(3301)
+	ds, err := data.GenLinear(data.LinearConfig{Samples: 6 * d, Dim: d, NoiseStd: 0.05}, gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := data.SparsifyRows(ds, 0.3, gen); err != nil {
+		b.Fatal(err)
+	}
+	sls, err := grad.NewSparseLeastSquares(ds, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alpha := 0.3 / sls.Constants().L
+	workers := 2 * runtime.GOMAXPROCS(0)
+	for _, arm := range []struct {
+		name  string
+		strat func() Strategy
+	}{
+		{"bounded-staleness/tau=1", func() Strategy { return NewBoundedStaleness(1) }},
+		{"bounded-staleness/tau=8", func() Strategy { return NewBoundedStaleness(8) }},
+		{"epoch-fence/every=4", func() Strategy { return NewEpochFence(4) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ips, ops float64
+			for i := 0; i < b.N; i++ {
+				res, err := Run(Config{
+					Workers: workers, TotalIters: iters, Alpha: alpha,
+					Oracle: sls, Seed: 42, Strategy: arm.strat(),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ips += res.UpdatesPerSec
+				ops += float64(res.CoordOps) / float64(res.Iters)
+			}
+			b.ReportMetric(ips/float64(b.N), "iters/s")
+			b.ReportMetric(ops/float64(b.N), "coordops/iter")
 		})
 	}
 }
